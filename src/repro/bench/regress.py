@@ -64,7 +64,7 @@ from ..core import SoapBinClient, SoapBinService
 from ..pbio import Format, FormatRegistry, interp_decode, interp_encode
 from ..transport import PooledHttpChannel, serve_endpoint
 from ..http11 import (HttpConnection, HttpConnectionPool, HttpServer,
-                      PipelinedHttpConnection, Request, Response)
+                      Request, Response)
 from .datagen import (int_array_value, nested_struct_value,
                       register_array_format, register_nested_formats)
 from .timers import percentile
@@ -495,7 +495,7 @@ def _bench_pipelined(requests_per_depth: int) -> Dict[str, Any]:
                 for _ in range(requests_per_depth)]
     with HttpServer(handler, concurrency="reactor") as server:
         serial = HttpConnection(server.address)
-        pipes = {depth: PipelinedHttpConnection(server.address, depth=depth)
+        pipes = {depth: HttpConnection(server.address, depth=depth)
                  for depth in depths}
         try:
             for _ in range(64):  # warmup
@@ -547,7 +547,7 @@ def _bench_mode_ab(calls: int) -> Dict[str, Any]:
     body = b"x" * 256
     for mode in ("reactor", "threaded"):
         with HttpServer(handler, concurrency=mode) as server:
-            with PipelinedHttpConnection(server.address, depth=1) as pipe:
+            with HttpConnection(server.address) as pipe:
                 for _ in range(min(10, calls)):
                     pipe.post("/", body, "application/octet-stream")
                 latencies: List[float] = []
@@ -611,7 +611,7 @@ def _scaleout_pipe_client(address, duration_s, ready_q, start_evt, out_q):
     body = b"x" * 256
     requests = [Request(method="POST", target="/", body=body)
                 for _ in range(64)]
-    with PipelinedHttpConnection(address, depth=8) as pipe:
+    with HttpConnection(address, depth=8) as pipe:
         pipe.request_many(requests[:16])     # warmup
         ready_q.put(os.getpid())
         start_evt.wait()

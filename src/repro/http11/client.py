@@ -1,28 +1,59 @@
 """A persistent-connection HTTP/1.1 client and a keep-alive pool.
 
-:class:`HttpConnection` is one keep-alive connection; the paper's
-persistent-session format cache assumes exactly this — repeated SOAP-bin
-calls to the same host must not pay TCP setup (or a fresh PBIO format
-announcement) per request.  :class:`HttpConnectionPool` extends that to
-many hosts and many concurrent callers: per-host idle lists with max-idle
-eviction and a retry-once policy for sockets that went stale while pooled.
+:class:`HttpConnection` is one keep-alive connection, serial or pipelined;
+the paper's persistent-session format cache assumes exactly this — repeated
+SOAP-bin calls to the same host must not pay TCP setup (or a fresh PBIO
+format announcement) per request.  :class:`HttpConnectionPool` extends that
+to many hosts and many concurrent callers: per-host idle lists with
+max-idle eviction and a retry-once policy for sockets that went stale while
+pooled.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
+import select
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import HttpConnectionClosed, HttpError, HttpParseError
-from .messages import (Headers, LAST_CHUNK, LineReader, MAX_HEADER_BYTES,
-                       Request, Response, _MAX_CHUNK_LINE, _parse_chunk_size,
-                       _read_headers, encode_chunk, read_response)
+from .errors import HttpConnectionClosed, HttpError
+from .messages import (Headers, LAST_CHUNK, LineReader, Request, Response,
+                       ResponseParser, encode_chunk, read_response)
+
+_RECV_SIZE = 256 * 1024
+_SENDMSG_BATCH = 64
+
+
+class PipelineError(HttpError):
+    """A pipelined batch failed part-way through.
+
+    ``responses`` holds the completed prefix (strictly in request order),
+    ``failed_index`` is the index of the first request that received no
+    response, and ``bytes_written`` tells retry machinery whether any of
+    this batch reached the wire (False means a resend is provably safe).
+    """
+
+    def __init__(self, message: str, responses: List[Response],
+                 failed_index: int, bytes_written: bool = True) -> None:
+        super().__init__(message)
+        self.responses = responses
+        self.failed_index = failed_index
+        self.bytes_written = bytes_written
+
+
+def _wants_close(headers: Headers) -> bool:
+    return (headers.get("Connection") or "").lower() == "close"
 
 
 class HttpConnection:
     """One keep-alive connection to an HTTP server.
+
+    :meth:`request` is one blocking round trip; :meth:`request_many`
+    pipelines a batch with up to ``depth`` requests on the wire (RFC 9112
+    §9.3.2).  Both read through the reader's one ``ResponseParser``.
 
     Reconnects transparently if the server closed the connection between
     requests (idle keep-alive timeout), but never retries a request that
@@ -31,11 +62,16 @@ class HttpConnection:
     """
 
     def __init__(self, address: Union[Tuple[str, int], str],
-                 timeout: float = 30.0) -> None:
+                 timeout: float = 30.0, depth: int = 1) -> None:
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
         if isinstance(address, str):
             address = parse_address(address)
         self.address = address
+        #: socket timeout of :meth:`request`; for :meth:`request_many` an
+        #: inactivity bound (no byte sent or received for this long)
         self.timeout = timeout
+        self.depth = depth
         self._sock: Optional[socket.socket] = None
         self._reader: Optional[LineReader] = None
         self.requests_sent = 0
@@ -51,50 +87,70 @@ class HttpConnection:
 
     def _ensure_connected(self) -> None:
         if self._sock is None:
-            self._connect()
-
-    def request(self, request: Request) -> Response:
-        """Send ``request`` and read the response.
-
-        Sets ``Host`` and ``Content-Length`` automatically.
-
-        A stale keep-alive socket is reconnected and the request resent
-        *only* when no request bytes had been written yet — resending after
-        a partial write could double-execute a non-idempotent operation.
-        Every propagated exception is annotated with a ``bytes_written``
-        attribute so pool- and policy-level retries can make the same
-        distinction.
-        """
-        request.headers.set("Host", f"{self.address[0]}:{self.address[1]}")
-        payload = request.to_bytes()
-        attempts = 0
-        while True:
-            sent = 0
             try:
-                self._ensure_connected()
+                self._connect()
             except OSError as exc:
                 self.close()
                 exc.bytes_written = False
                 raise
+
+    def _exchange(self, send_and_read):
+        """Run ``send_and_read()``, rerunning it once on a fresh socket
+        *only* when it failed with no request bytes written (a stale
+        keep-alive socket) — resending after a partial write could
+        double-execute a non-idempotent operation.  Errors carry
+        ``bytes_written`` so pool- and policy-level retries can make the
+        same distinction."""
+        for attempt in (0, 1):
+            self._ensure_connected()
             try:
-                view = memoryview(payload)
+                return send_and_read()
+            except (HttpError, OSError) as exc:
+                self.close()
+                if attempt == 0 and not getattr(exc, "bytes_written", True):
+                    continue
+                raise
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def request(self, request: Request) -> Response:
+        """Send ``request`` and read the response (one blocking round
+        trip).  Sets ``Host`` and ``Content-Length`` automatically."""
+        request.headers.set("Host", f"{self.address[0]}:{self.address[1]}")
+        view = memoryview(request.to_bytes())
+
+        def send_and_read() -> Response:
+            sent = 0
+            try:
                 while sent < len(view):
                     sent += self._sock.send(view[sent:])
-                response = read_response(self._reader)
-                break
-            except (HttpConnectionClosed, OSError) as exc:
-                self.close()
-                attempts += 1
-                if sent == 0 and attempts <= 1:
-                    # Nothing reached the wire: a stale keep-alive socket.
-                    # Reconnecting and resending is provably safe.
-                    continue
+                return read_response(self._reader)
+            except (HttpError, OSError) as exc:
                 exc.bytes_written = sent > 0
                 raise
+
+        response = self._exchange(send_and_read)
         self.requests_sent += 1
-        if (response.headers.get("Connection") or "").lower() == "close":
+        if _wants_close(response.headers):
             self.close()
         return response
+
+    def request_many(self, requests: Sequence[Request]) -> List[Response]:
+        """Pipeline ``requests`` on this connection; responses in order.
+
+        Failure model: all-or-prefix.  If the connection dies or the
+        server answers ``Connection: close`` mid-batch, a
+        :class:`PipelineError` carries the completed prefix and the first
+        unanswered index, so callers can re-drive just the suffix.  The
+        whole batch is resent under :meth:`request`'s stale-socket rule.
+        """
+        batch = list(requests)
+        if not batch:
+            return []
+        responses = self._exchange(lambda: self._pump(batch))
+        self.requests_sent += len(batch)
+        if _wants_close(responses[-1].headers):
+            self.close()
+        return responses
 
     def post(self, target: str, body: bytes, content_type: str,
              headers: Optional[Headers] = None) -> Response:
@@ -107,6 +163,137 @@ class HttpConnection:
     def get(self, target: str) -> Response:
         return self.request(Request(method="GET", target=target))
 
+    # ------------------------------------------------------------------
+    def _pump(self, batch: List[Request]) -> List[Response]:
+        """Interleave sends and receives on the non-blocking socket until
+        every response of ``batch`` is parsed.  A server that responds
+        while we are still sending (or stops reading while it responds)
+        can never deadlock the client against a full kernel buffer."""
+        sock = self._sock
+        parser = self._reader.parser_for(ResponseParser)
+        host = f"{self.address[0]}:{self.address[1]}"
+        total = len(batch)
+        responses: List[Response] = []
+        out: Deque[memoryview] = collections.deque()
+        serialized = 0
+        total_sent = 0
+        server_closing = False
+        tick = min(1.0, self.timeout)
+        last_progress = time.monotonic()
+        # poll(), not select(): held sockets can carry fd numbers far past
+        # FD_SETSIZE when thousands of connections are open in-process
+        poller = select.poll()
+        poller.register(sock, select.POLLIN | select.POLLPRI | select.POLLOUT)
+
+        def fail(message: str) -> PipelineError:
+            return PipelineError(message, responses, len(responses),
+                                 bytes_written=total_sent > 0)
+
+        def ingest(data: bytes) -> None:
+            nonlocal server_closing
+            if not data:
+                raise fail(
+                    "server closed connection mid-pipeline "
+                    f"({len(responses)}/{total} responses received)")
+            parser.feed(data)
+            while True:
+                try:
+                    response = parser.next_response()
+                except HttpError as exc:
+                    raise fail(f"bad pipelined response: {exc}") from exc
+                if response is None:
+                    break
+                responses.append(response)
+                if _wants_close(response.headers):
+                    server_closing = True
+                    if len(responses) < total:
+                        raise fail(
+                            "server closed pipeline after "
+                            f"{len(responses)}/{total} responses")
+
+        sock.setblocking(False)
+        try:
+            while len(responses) < total:
+                # Refill the window: request i goes on the wire only once
+                # fewer than ``depth`` responses are outstanding before it.
+                while (serialized < total and not server_closing
+                       and serialized < len(responses) + self.depth):
+                    request = batch[serialized]
+                    if request.headers.get("Host") != host:
+                        request.headers.set("Host", host)
+                    out.append(memoryview(request.to_bytes()))
+                    serialized += 1
+                # Optimistic I/O: attempt the send and the recv directly
+                # and fall back to poll() only when neither makes progress
+                # — a healthy pipeline never pays a poll round trip per
+                # window.
+                progressed = False
+                if out:
+                    try:
+                        sent = sock.sendmsg(
+                            list(itertools.islice(out, _SENDMSG_BATCH)))
+                    except (BlockingIOError, InterruptedError):
+                        sent = 0
+                    except OSError as exc:
+                        raise fail(f"pipeline send failed: {exc}") from exc
+                    total_sent += sent
+                    progressed = progressed or sent > 0
+                    while sent:
+                        head = out[0]
+                        if sent >= len(head):
+                            sent -= len(head)
+                            out.popleft()
+                        else:
+                            out[0] = head[sent:]
+                            sent = 0
+                try:
+                    data = sock.recv(_RECV_SIZE)
+                except (BlockingIOError, InterruptedError):
+                    data = None
+                except OSError as exc:
+                    raise fail(f"pipeline recv failed: {exc}") from exc
+                if data is not None:
+                    ingest(data)
+                    progressed = True
+                if progressed:
+                    last_progress = time.monotonic()
+                    continue
+                # Nothing moved.  With no bytes queued to send, the only
+                # possible event is inbound data: wait in a single C-level
+                # timeout recv — one call, no Python poll round trip.
+                if not out:
+                    sock.settimeout(tick)
+                    try:
+                        data = sock.recv(_RECV_SIZE)
+                    except (socket.timeout, InterruptedError):
+                        data = None
+                    except OSError as exc:
+                        raise fail(f"pipeline recv failed: {exc}") from exc
+                    finally:
+                        sock.setblocking(False)
+                    if data is not None:
+                        ingest(data)
+                        last_progress = time.monotonic()
+                        continue
+                else:
+                    # Queued bytes + full kernel buffer: wait on both
+                    # sides.  Which event fired does not matter — the
+                    # optimistic attempts above discover it, and
+                    # hangups/errors surface through recv/send.
+                    try:
+                        poller.poll(tick * 1000.0)
+                    except OSError as exc:
+                        raise fail(f"pipeline poll failed: {exc}") from exc
+                if time.monotonic() - last_progress >= self.timeout:
+                    raise fail(
+                        f"pipeline stalled for {self.timeout:.1f}s "
+                        f"({len(responses)}/{total} responses received)")
+        finally:
+            # back to the blocking mode request() and stream() expect
+            sock.settimeout(self.timeout)
+        return responses
+
+    # ------------------------------------------------------------------
     def stream(self, target: str, chunks,
                content_type: str = "application/octet-stream",
                headers: Optional[Headers] = None) -> "StreamResponse":
@@ -132,12 +319,8 @@ class HttpConnection:
                             f"{self.address[0]}:{self.address[1]}")
         request.headers.set("Content-Type", content_type)
         request.headers.set("Transfer-Encoding", "chunked")
-        head = request.to_bytes()
         try:
-            view = memoryview(head)
-            sent = 0
-            while sent < len(view):
-                sent += sock.send(view[sent:])
+            sock.sendall(request.to_bytes())
         except OSError:
             self.close()
             raise
@@ -146,38 +329,30 @@ class HttpConnection:
         def _send_body() -> None:
             try:
                 for chunk in chunks:
-                    framed = encode_chunk(chunk)
-                    if not framed:
-                        continue
-                    fview = memoryview(framed)
-                    done = 0
-                    while done < len(fview):
-                        done += sock.send(fview[done:])
-                    self.bytes_streamed += len(chunk)
-                tail = memoryview(LAST_CHUNK)
-                done = 0
-                while done < len(tail):
-                    done += sock.send(tail[done:])
+                    if chunk:
+                        sock.sendall(encode_chunk(chunk))
+                        self.bytes_streamed += len(chunk)
+                sock.sendall(LAST_CHUNK)
             except BaseException as exc:  # noqa: BLE001 - joined by reader
                 sender_error.append(exc)
 
         sender = threading.Thread(target=_send_body, daemon=True,
                                   name="http-stream-sender")
         sender.start()
+        # a chunked response is handed out at its head and drains through
+        # the parser; any other response arrives whole
+        parser = reader.parser_for(ResponseParser)
+        parser.stream_decider = lambda start, headers: True
         try:
-            status_line = reader.read_line().decode("latin-1")
-            parts = status_line.split(" ", 2)
-            if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-                raise HttpParseError(f"bad status line {status_line!r}")
-            status = int(parts[1])
-            response_headers = _read_headers(reader)
-        except (HttpError, OSError, ValueError) as exc:
+            response = read_response(reader)
+        except (HttpError, OSError):
             self.close()
             sender.join(timeout=5.0)
             raise
+        finally:
+            parser.stream_decider = None
         self.requests_sent += 1
-        return StreamResponse(status, response_headers, self, reader,
-                              sender, sender_error)
+        return StreamResponse(response, self, reader, sender, sender_error)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -206,12 +381,12 @@ class StreamResponse:
     no second code path.
     """
 
-    def __init__(self, status: int, headers: Headers,
-                 conn: HttpConnection, reader: LineReader,
-                 sender: threading.Thread,
+    def __init__(self, response: Response, conn: HttpConnection,
+                 reader: LineReader, sender: threading.Thread,
                  sender_error: List[BaseException]) -> None:
-        self.status = status
-        self.headers = headers
+        self.status = response.status
+        self.headers = response.headers
+        self._body = response.body
         self._conn = conn
         self._reader = reader
         self._sender = sender
@@ -225,24 +400,20 @@ class StreamResponse:
     def iter_chunks(self):
         """Yield decoded response-body chunks as they arrive; finishes the
         exchange (joins the sender thread, re-raising its error)."""
-        reader = self._reader
         te = (self.headers.get("Transfer-Encoding") or "").lower()
         if "chunked" not in te:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length:
-                yield reader.read_exact(length)
-            self._finish()
-            return
-        while True:
-            size = _parse_chunk_size(reader.read_line(limit=_MAX_CHUNK_LINE))
-            if size == 0:
-                while reader.read_line(limit=MAX_HEADER_BYTES):
-                    pass  # drain trailers
-                break
-            data = reader.read_exact(size)
-            if reader.read_exact(2) != b"\r\n":
-                raise HttpParseError("chunk data not terminated by CRLF")
-            yield data
+            if self._body:
+                yield self._body
+        else:
+            reader = self._reader
+            while True:
+                data, done = reader.parser.drain_body()
+                if data:
+                    yield data
+                if done:
+                    break
+                if not data:
+                    reader.fill()
         self._finish()
 
     def read(self) -> bytes:
@@ -254,7 +425,7 @@ class StreamResponse:
             return
         self._finished = True
         self._sender.join()
-        if (self.headers.get("Connection") or "").lower() == "close":
+        if _wants_close(self.headers):
             self._conn.close()
         if self._sender_error and self.ok:
             # On an error response the server may legitimately have hung

@@ -8,14 +8,16 @@ header bytes, request lines and parsing all cost what they cost.
 
 Scope: HTTP/1.1 with ``Content-Length`` framing, persistent connections,
 and ``Transfer-Encoding: chunked`` for the large-message streaming path
-(docs/wire-compact.md): both the pull (:class:`LineReader`) and push
-(:class:`_IncrementalParser`) parsers decode chunked bodies, and
-:func:`encode_chunk` / :data:`LAST_CHUNK` frame outgoing streams.  Other
-transfer codings are rejected.
+(docs/wire-compact.md); :func:`encode_chunk` / :data:`LAST_CHUNK` frame
+outgoing streams, and other transfer codings are rejected.  All parsing
+is the sans-IO :class:`RequestParser` / :class:`ResponseParser` pair,
+fed by the reactor from non-blocking sockets and by :class:`LineReader`
+from blocking ones, so every reader frames the same bytes the same way.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -214,6 +216,12 @@ LAST_CHUNK = b"0\r\n\r\n"
 #: Cap on one chunk-size line (hex digits + optional extensions).
 _MAX_CHUNK_LINE = 1024
 
+#: RFC 9112 framing numbers: ``Content-Length`` is ``1*DIGIT`` and a
+#: chunk size ``1*HEXDIG`` — stricter than ``int()``, which also takes
+#: signs, underscores, ``0x`` prefixes and non-ASCII digits
+_DIGITS = re.compile(r"[0-9]+")
+_HEXDIGITS = re.compile(rb"[0-9A-Fa-f]+")
+
 
 def encode_chunk(data: bytes) -> bytes:
     """Frame one non-empty chunk for ``Transfer-Encoding: chunked``.
@@ -246,14 +254,12 @@ def _parse_transfer_encoding(value: Optional[str],
 
 
 def _parse_chunk_size(line: bytes) -> int:
-    token = line.split(b";", 1)[0].strip()
-    try:
-        size = int(token, 16)
-    except ValueError:
+    """``1*HEXDIG`` before an optional ``;ext`` (RFC 9112 §7.1) — not
+    whatever ``int(x, 16)`` accepts (``0x3``, ``0_3``, ``+3``)."""
+    token = line.split(b";", 1)[0].rstrip(b" \t")
+    if not _HEXDIGITS.fullmatch(token):
         raise HttpParseError(f"bad chunk size line {line!r}")
-    if size < 0 or token.startswith((b"+", b"-")):
-        raise HttpParseError(f"bad chunk size line {line!r}")
-    return size
+    return int(token, 16)
 
 
 def _serialize(start_line: str, headers: Headers, body: bytes) -> bytes:
@@ -270,186 +276,37 @@ def _serialize(start_line: str, headers: Headers, body: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# wire parsing
-# ----------------------------------------------------------------------
-
-class LineReader:
-    """Buffered reader over a ``recv``-style byte source."""
-
-    def __init__(self, recv, bufsize: int = 65536) -> None:
-        self._recv = recv
-        self._bufsize = bufsize
-        self._buf = b""
-
-    def _fill(self) -> bool:
-        chunk = self._recv(self._bufsize)
-        if not chunk:
-            return False
-        self._buf += chunk
-        return True
-
-    def read_line(self, limit: int = MAX_HEADER_BYTES) -> bytes:
-        """Read one CRLF-terminated line (returned without the CRLF)."""
-        while True:
-            idx = self._buf.find(b"\r\n")
-            if idx >= 0:
-                line, self._buf = self._buf[:idx], self._buf[idx + 2:]
-                return line
-            if len(self._buf) > limit:
-                raise HttpTooLarge("header line too long")
-            if not self._fill():
-                if self._buf:
-                    raise HttpParseError("connection closed mid-line")
-                raise HttpConnectionClosed("connection closed")
-
-    def read_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            if not self._fill():
-                raise HttpParseError(
-                    f"connection closed with {n - len(self._buf)} body "
-                    f"bytes outstanding")
-        data, self._buf = self._buf[:n], self._buf[n:]
-        return data
-
-    def at_start(self) -> bool:
-        """True when no buffered bytes are pending (between messages)."""
-        return not self._buf
-
-
-def _read_headers(reader: LineReader,
-                  max_header_bytes: int = MAX_HEADER_BYTES) -> Headers:
-    headers = Headers()
-    total = 0
-    while True:
-        line = reader.read_line(limit=max_header_bytes)
-        if not line:
-            return headers
-        total += len(line)
-        if total > max_header_bytes:
-            raise HttpTooLarge(
-                f"header block exceeds limit of {max_header_bytes} bytes")
-        if b":" not in line:
-            raise HttpParseError(f"bad header line {line!r}")
-        name, _, value = line.partition(b":")
-        headers.add(name.decode("latin-1").strip(),
-                    value.decode("latin-1").strip())
-
-
-def _read_chunked_body(reader: LineReader, headers: Headers,
-                       max_body_bytes: int) -> bytes:
-    """Drain a chunked body (pull path), appending trailers to ``headers``.
-
-    The cumulative size limit applies to the *decoded* body, mirroring the
-    Content-Length check — a peer cannot smuggle an oversized payload by
-    slicing it into small chunks.
-    """
-    parts: List[bytes] = []
-    total = 0
-    while True:
-        size = _parse_chunk_size(reader.read_line(limit=_MAX_CHUNK_LINE))
-        if size == 0:
-            break
-        total += size
-        if total > max_body_bytes:
-            raise HttpTooLarge(
-                f"chunked body exceeds limit of {max_body_bytes} bytes")
-        parts.append(reader.read_exact(size))
-        if reader.read_exact(2) != b"\r\n":
-            raise HttpParseError("chunk data not terminated by CRLF")
-    while True:  # trailer section, ended by an empty line
-        line = reader.read_line(limit=MAX_HEADER_BYTES)
-        if not line:
-            return b"".join(parts)
-        if b":" not in line:
-            raise HttpParseError(f"bad trailer line {line!r}")
-        name, _, value = line.partition(b":")
-        headers.add(name.decode("latin-1").strip(),
-                    value.decode("latin-1").strip())
-
-
-def _read_body(reader: LineReader, headers: Headers,
-               max_body_bytes: int = MAX_BODY_BYTES) -> bytes:
-    raw_length = headers.get("Content-Length")
-    if _parse_transfer_encoding(headers.get("Transfer-Encoding"), raw_length):
-        return _read_chunked_body(reader, headers, max_body_bytes)
-    if raw_length is None:
-        return b""
-    try:
-        length = int(raw_length)
-    except ValueError:
-        raise HttpParseError(f"bad Content-Length {raw_length!r}")
-    if length < 0:
-        raise HttpParseError("negative Content-Length")
-    if length > max_body_bytes:
-        raise HttpTooLarge(
-            f"body of {length} bytes exceeds limit of "
-            f"{max_body_bytes} bytes")
-    return reader.read_exact(length)
-
-
-def read_request(reader: LineReader,
-                 max_header_bytes: int = MAX_HEADER_BYTES,
-                 max_body_bytes: int = MAX_BODY_BYTES) -> Request:
-    """Parse one request from the reader.
-
-    Raises :class:`HttpConnectionClosed` when the peer closed cleanly
-    between requests (the keep-alive loop exits on that).  The size limits
-    default to the module constants; servers pass their own
-    (``HttpServer(max_body_bytes=..., max_header_bytes=...)``).
-    """
-    line = reader.read_line(limit=max_header_bytes).decode("latin-1")
-    parts = line.split(" ")
-    if len(parts) != 3:
-        raise HttpParseError(f"bad request line {line!r}")
-    method, target, version = parts
-    if version not in ("HTTP/1.1", "HTTP/1.0"):
-        raise HttpParseError(f"unsupported HTTP version {version!r}")
-    headers = _read_headers(reader, max_header_bytes)
-    body = _read_body(reader, headers, max_body_bytes)
-    return Request(method=method, target=target, headers=headers, body=body,
-                   version=version)
-
-
-def read_response(reader: LineReader) -> Response:
-    """Parse one response from the reader."""
-    line = reader.read_line().decode("latin-1")
-    parts = line.split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise HttpParseError(f"bad status line {line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise HttpParseError(f"bad status code in {line!r}")
-    headers = _read_headers(reader)
-    body = _read_body(reader, headers)
-    return Response(status=status, headers=headers, body=body,
-                    version=parts[0])
-
-
-# ----------------------------------------------------------------------
-# incremental (push) parsing for event-driven endpoints
+# incremental (sans-IO) parsing: the only HTTP framing code
 # ----------------------------------------------------------------------
 
 class _IncrementalParser:
-    """Push-style HTTP/1.1 message parser.
+    """Push-style HTTP/1.1 message parser — the one implementation of
+    start lines, headers, ``Content-Length``, chunked framing and limits.
 
-    Where :class:`LineReader` *pulls* bytes from a blocking socket, this
-    parser is *fed* whatever bytes happen to arrive on a non-blocking one
-    (:meth:`feed`) and hands out complete messages as they materialize
-    (:meth:`next_message`, ``None`` while incomplete).  Back-to-back
-    pipelined messages in one buffer come out one at a time; the parse
-    state survives arbitrary fragmentation, including a header block
-    split mid-CRLF.
+    It does no I/O (the sans-IO split of h11,
+    https://github.com/python-hyper/h11): it is *fed* whatever bytes
+    arrive (:meth:`feed`) and hands out complete messages as they
+    materialize (:meth:`next_message`, ``None`` while incomplete).  The
+    reactor feeds it from non-blocking sockets, :class:`LineReader` from
+    blocking ones.  Back-to-back pipelined messages in one buffer come
+    out one at a time; the parse state survives arbitrary fragmentation,
+    including a header block split mid-CRLF.
 
-    Errors are the same taxonomy as the pull path:
-    :class:`~repro.http11.errors.HttpParseError` for malformed messages,
-    :class:`~repro.http11.errors.HttpTooLarge` for limit violations.  An
-    errored parser stays errored — the connection is unrecoverable because
-    message framing is lost.
+    Errors: :class:`~repro.http11.errors.HttpParseError` for malformed
+    messages, :class:`~repro.http11.errors.HttpTooLarge` for limit
+    violations.  An errored parser stays errored — the connection is
+    unrecoverable because message framing is lost.
     """
 
     # chunked-parse states
     _CHUNK_SIZE, _CHUNK_DATA, _CHUNK_DATA_END, _CHUNK_TRAILERS = range(4)
+
+    #: ``(start, headers) -> bool``, consulted for chunked messages only:
+    #: True hands the message out as soon as its head parses (empty
+    #: ``body``) and the body drains through :meth:`drain_body` instead of
+    #: buffering.  ``start`` is the parsed start line:
+    #: ``(method, target, version)`` or ``(version, status)``.
+    stream_decider = None
 
     def __init__(self, max_header_bytes: int = MAX_HEADER_BYTES,
                  max_body_bytes: int = MAX_BODY_BYTES) -> None:
@@ -471,6 +328,7 @@ class _IncrementalParser:
         self._chunk_remaining = 0
         self._chunk_total = 0
         self._chunk_body = bytearray()
+        self._trailer_bytes = 0
         #: streaming drain mode: the head was handed out already and body
         #: bytes leave through :meth:`drain_body` instead of accumulating
         self._streaming = False
@@ -499,10 +357,15 @@ class _IncrementalParser:
     def next_message(self):
         """Return the next complete message, or ``None`` if more bytes
         are needed.  Call repeatedly to drain a pipelined burst."""
+        return self._step(self._next)
+
+    def _step(self, step, *args):
+        """Run one parse step; a framing error poisons the parser for
+        good, because message boundaries are lost."""
         if self._failed:
             raise HttpParseError("parser already failed; framing lost")
         try:
-            return self._next()
+            return step(*args)
         except (HttpParseError, HttpTooLarge):
             self._failed = True
             raise
@@ -515,7 +378,8 @@ class _IncrementalParser:
             end = self._buf.find(b"\r\n\r\n",
                                  max(self._pos, self._scan - 3))
             if end < 0:
-                if len(self._buf) - self._pos > self.max_header_bytes:
+                # up to 3 buffered bytes may be a split terminator
+                if len(self._buf) - self._pos - 3 > self.max_header_bytes:
                     raise HttpTooLarge(
                         f"header block exceeds limit of "
                         f"{self.max_header_bytes} bytes")
@@ -534,7 +398,9 @@ class _IncrementalParser:
             self._body_length = self._content_length(raw_length,
                                                      transfer_encoding)
             self._head = (parsed_start, headers)
-            if self._chunked and self._should_stream(parsed_start, headers):
+            decider = self.stream_decider
+            if self._chunked and decider is not None \
+                    and decider(parsed_start, headers):
                 self._head = None
                 self._streaming = True
                 return self._build_streaming(parsed_start, headers)
@@ -545,11 +411,7 @@ class _IncrementalParser:
             return None
         body = bytes(self._buf[self._pos:self._pos + self._body_length])
         self._pos += self._body_length
-        if self._pos >= len(self._buf):
-            del self._buf[:]            # cheap reset: all bytes consumed
-            self._pos = self._scan = 0
-        elif self._pos > 65536:
-            self._compact()
+        self._finish_message_boundary()
         parsed_start, headers = self._head
         self._head = None
         self._body_length = 0
@@ -579,14 +441,8 @@ class _IncrementalParser:
         """
         if not self._streaming:
             raise HttpParseError("parser is not draining a streamed body")
-        if self._failed:
-            raise HttpParseError("parser already failed; framing lost")
         sink = bytearray()
-        try:
-            done = self._pump_chunks(sink)
-        except (HttpParseError, HttpTooLarge):
-            self._failed = True
-            raise
+        done = self._step(self._pump_chunks, sink)
         if done:
             self._streaming = False
             self._reset_chunk_state()
@@ -604,9 +460,9 @@ class _IncrementalParser:
             n = len(buf)
             if self._chunk_state == self._CHUNK_SIZE:
                 idx = buf.find(b"\r\n", self._pos)
+                if (idx if idx >= 0 else n - 1) - self._pos > _MAX_CHUNK_LINE:
+                    raise HttpParseError("chunk size line too long")
                 if idx < 0:
-                    if n - self._pos > _MAX_CHUNK_LINE:
-                        raise HttpParseError("chunk size line too long")
                     return False
                 size = _parse_chunk_size(bytes(buf[self._pos:idx]))
                 self._pos = idx + 2
@@ -637,18 +493,29 @@ class _IncrementalParser:
                     raise HttpParseError("chunk data not terminated by CRLF")
                 self._pos += 2
                 self._chunk_state = self._CHUNK_SIZE
-            else:  # _CHUNK_TRAILERS — validated and discarded (push path)
+            else:  # _CHUNK_TRAILERS, bounded like a header block
                 idx = buf.find(b"\r\n", self._pos)
+                end = n if idx < 0 else idx + 2
+                if self._trailer_bytes + end - self._pos \
+                        > self.max_header_bytes:
+                    raise HttpTooLarge(
+                        f"trailer section exceeds limit of "
+                        f"{self.max_header_bytes} bytes")
                 if idx < 0:
-                    if n - self._pos > self.max_header_bytes:
-                        raise HttpTooLarge("trailer section too large")
                     return False
                 line = bytes(buf[self._pos:idx])
-                self._pos = idx + 2
+                self._trailer_bytes += end - self._pos
+                self._pos = end
                 if not line:
                     return True
-                if b":" not in line:
+                name, sep, value = line.partition(b":")
+                if not sep:
                     raise HttpParseError(f"bad trailer line {line!r}")
+                if self._head is not None:
+                    # a buffered message: trailers join its headers (a
+                    # streamed one already handed its headers out)
+                    self._head[1].add(name.decode("latin-1").strip(),
+                                      value.decode("latin-1").strip())
 
     def _reset_chunk_state(self) -> None:
         self._chunked = False
@@ -656,22 +523,17 @@ class _IncrementalParser:
         self._chunk_remaining = 0
         self._chunk_total = 0
         self._chunk_body = bytearray()
+        self._trailer_bytes = 0
 
     def _finish_message_boundary(self) -> None:
         if self._pos >= len(self._buf):
-            del self._buf[:]
+            del self._buf[:]            # cheap reset: all bytes consumed
             self._pos = self._scan = 0
-        else:
+        elif self._pos > 65536:
             self._compact()
 
-    def _should_stream(self, parsed_start, headers: Headers) -> bool:
-        """Hook: hand the head out before the body finishes arriving.
-        Only consulted for chunked messages; requests only."""
-        return False
-
-    def _build_streaming(self, parsed_start,
-                         headers: Headers):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _build_streaming(self, parsed_start, headers: Headers):
+        return self._build(parsed_start, headers, b"")
 
     # -- helpers -------------------------------------------------------
     @staticmethod
@@ -693,6 +555,10 @@ class _IncrementalParser:
             lower = name.lower()
             items.append((name, value, lower))
             if lower == "content-length":
+                if content_length is not None and value != content_length:
+                    raise HttpParseError(
+                        f"conflicting Content-Length values "
+                        f"{content_length!r} and {value!r}")
                 content_length = value
             elif lower == "transfer-encoding":
                 transfer_encoding = value
@@ -705,12 +571,14 @@ class _IncrementalParser:
             return 0
         if raw_length is None:
             return 0
+        if not _DIGITS.fullmatch(raw_length):
+            raise HttpParseError(f"bad Content-Length {raw_length!r}")
         try:
             length = int(raw_length)
-        except ValueError:
-            raise HttpParseError(f"bad Content-Length {raw_length!r}")
-        if length < 0:
-            raise HttpParseError("negative Content-Length")
+        except ValueError:  # past the interpreter's int-digits cap
+            raise HttpTooLarge(f"Content-Length {raw_length[:32]}... "
+                               f"exceeds limit of {self.max_body_bytes} "
+                               f"bytes")
         if length > self.max_body_bytes:
             raise HttpTooLarge(
                 f"body of {length} bytes exceeds limit of "
@@ -726,29 +594,14 @@ class _IncrementalParser:
 
 
 class RequestParser(_IncrementalParser):
-    """Incremental request parser (the reactor server's read path).
-
-    Set :attr:`stream_decider` — ``(method, target, headers) -> bool`` —
-    to opt chunked requests into streaming mode: the :class:`Request` is
-    handed out as soon as its head parses (``streaming=True``, empty
-    ``body``) and the body drains incrementally through
-    :meth:`drain_body` instead of buffering.
-    """
-
-    stream_decider = None
-
-    def _should_stream(self, parsed_start, headers: Headers) -> bool:
-        decider = self.stream_decider
-        if decider is None:
-            return False
-        method, target, _version = parsed_start
-        return bool(decider(method, target, headers))
+    """Incremental request parser (both servers' read path).  A streamed
+    request comes out with ``streaming=True``."""
 
     def _build_streaming(self, parsed_start: Tuple[str, str, str],
                          headers: Headers) -> Request:
-        method, target, version = parsed_start
-        return Request(method=method, target=target, headers=headers,
-                       body=b"", version=version, streaming=True)
+        request = self._build(parsed_start, headers, b"")
+        request.streaming = True
+        return request
 
     def _parse_start_line(self, line: str) -> Tuple[str, str, str]:
         parts = line.split(" ")
@@ -770,7 +623,7 @@ class RequestParser(_IncrementalParser):
 
 
 class ResponseParser(_IncrementalParser):
-    """Incremental response parser (the pipelined client's read path)."""
+    """Incremental response parser (the client's read path)."""
 
     def _parse_start_line(self, line: str) -> Tuple[str, int]:
         parts = line.split(" ", 2)
@@ -790,3 +643,66 @@ class ResponseParser(_IncrementalParser):
 
     def next_response(self) -> Optional[Response]:
         return self.next_message()
+
+
+# ----------------------------------------------------------------------
+# blocking driver over the incremental parsers
+# ----------------------------------------------------------------------
+
+class LineReader:
+    """Blocking driver: feeds one incremental parser (built on first use)
+    from a ``recv``-style byte source until a message completes."""
+
+    def __init__(self, recv, bufsize: int = 65536) -> None:
+        self._recv = recv
+        self._bufsize = bufsize
+        self.parser: Optional["_IncrementalParser"] = None
+
+    def parser_for(self, make_parser) -> "_IncrementalParser":
+        """The owned parser, built by ``make_parser()`` on first use."""
+        if self.parser is None:
+            self.parser = make_parser()
+        return self.parser
+
+    def read(self, make_parser):
+        """Block until the parser hands out the next message."""
+        parser = self.parser_for(make_parser)
+        message = parser.next_message()
+        while message is None:
+            self.fill()
+            message = parser.next_message()
+        return message
+
+    def fill(self) -> None:
+        """Feed one ``recv`` to the parser.  EOF raises
+        :class:`HttpConnectionClosed` between messages and
+        :class:`HttpParseError` mid-message."""
+        data = self._recv(self._bufsize)
+        if not data:
+            if self.parser.mid_message:
+                raise HttpParseError("connection closed mid-message")
+            raise HttpConnectionClosed("connection closed")
+        self.parser.feed(data)
+
+    def at_start(self) -> bool:
+        """True between messages (no partial message pending)."""
+        return self.parser is None or not self.parser.mid_message
+
+
+def read_request(reader: LineReader,
+                 max_header_bytes: int = MAX_HEADER_BYTES,
+                 max_body_bytes: int = MAX_BODY_BYTES) -> Request:
+    """Read one request through ``reader``'s :class:`RequestParser`.
+
+    Raises :class:`HttpConnectionClosed` when the peer closed cleanly
+    between requests (the keep-alive loop exits on that).  The size limits
+    default to the module constants; servers pass their own
+    (``HttpServer(max_body_bytes=..., max_header_bytes=...)``).
+    """
+    return reader.read(lambda: RequestParser(max_header_bytes,
+                                             max_body_bytes))
+
+
+def read_response(reader: LineReader) -> Response:
+    """Read one response through ``reader``'s :class:`ResponseParser`."""
+    return reader.read(ResponseParser)

@@ -461,13 +461,11 @@ class ReactorHttpServer(_ServerCore):
             max_header_bytes=self.max_header_bytes,
             max_body_bytes=self.max_body_bytes)
         if self.stream_routes:
-            parser.stream_decider = self._stream_decider
+            parser.stream_decider = \
+                lambda start, _headers: start[1] in self.stream_routes
         conn = _Conn(sock, parser, time.monotonic())
         self._conns.add(conn)
         self._set_interest(conn)
-
-    def _stream_decider(self, method: str, target: str, headers) -> bool:
-        return target in self.stream_routes
 
     # ------------------------------------------------------------------
     # read path

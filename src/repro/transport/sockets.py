@@ -18,8 +18,8 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
                     TYPE_CHECKING)
 
 from ..http11 import (Headers, HttpConnection, HttpConnectionPool,
-                      HttpError, HttpServer, PipelinedHttpConnection,
-                      PipelineError, Request, Response, default_pool)
+                      HttpError, HttpServer, PipelineError, Request,
+                      Response, default_pool)
 from .base import Channel, ChannelReply, Endpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -253,9 +253,8 @@ class PipelinedHttpChannel(Channel):
         self.last_calls: List[Optional["CallMeta"]] = []
         #: dedicated connection for single calls (never shared with the
         #: batch workers, so call() stays safe alongside call_many())
-        self._call_conn = PipelinedHttpConnection(address, depth=1,
-                                                  timeout=timeout)
-        self._pipes: List[PipelinedHttpConnection] = []
+        self._call_conn = HttpConnection(address, timeout=timeout)
+        self._pipes: List[HttpConnection] = []
 
     # ------------------------------------------------------------------
     # single-call surface (Channel protocol)
@@ -300,8 +299,8 @@ class PipelinedHttpChannel(Channel):
             headers_list = list(headers)
         fanout = min(self.connections, total)
         while len(self._pipes) < fanout:
-            self._pipes.append(PipelinedHttpConnection(
-                self.address, depth=self.depth, timeout=self.timeout))
+            self._pipes.append(HttpConnection(
+                self.address, timeout=self.timeout, depth=self.depth))
         chunks: List[List[_PendingCall]] = [[] for _ in range(fanout)]
         per_chunk = -(-total // fanout)  # contiguous chunks, ceil division
         for index in range(total):
@@ -316,7 +315,7 @@ class PipelinedHttpChannel(Channel):
             errors: List[BaseException] = []
             lock = threading.Lock()
 
-            def worker(pipe: PipelinedHttpConnection,
+            def worker(pipe: HttpConnection,
                        chunk: List[_PendingCall]) -> None:
                 try:
                     chunk_results = self._drive(pipe, chunk, content_type)
@@ -352,7 +351,7 @@ class PipelinedHttpChannel(Channel):
         request.headers.set("Content-Type", content_type)
         return request
 
-    def _drive(self, pipe: PipelinedHttpConnection,
+    def _drive(self, pipe: HttpConnection,
                chunk: List[_PendingCall],
                content_type: str) -> Dict[int, BatchResult]:
         """Run one chunk through one pipelined connection (with retries)."""
@@ -360,7 +359,7 @@ class PipelinedHttpChannel(Channel):
             return self._drive_once(pipe, chunk, content_type)
         return self._drive_policed(pipe, chunk, content_type)
 
-    def _drive_once(self, pipe: PipelinedHttpConnection,
+    def _drive_once(self, pipe: HttpConnection,
                     chunk: List[_PendingCall],
                     content_type: str) -> Dict[int, BatchResult]:
         results: Dict[int, BatchResult] = {}
@@ -382,7 +381,7 @@ class PipelinedHttpChannel(Channel):
             results[item.index] = BatchResult(reply=_to_reply(response))
         return results
 
-    def _drive_policed(self, pipe: PipelinedHttpConnection,
+    def _drive_policed(self, pipe: HttpConnection,
                        chunk: List[_PendingCall],
                        content_type: str) -> Dict[int, BatchResult]:
         # The batched twin of reliability.policy.call_with_policy: same

@@ -1,14 +1,17 @@
 """Incremental (push) HTTP parsers: partial feeds, pipelining, limits.
 
-The reactor server and the pipelined client both depend on these parsers
-accepting bytes in arbitrary slices; every test here exercises a split
-the pull-mode reader never sees.
+Every HTTP reader in the stack — the reactor, the threaded server's
+blocking driver, the client — depends on these parsers accepting bytes
+in arbitrary slices; the property tests at the end check that the split
+never changes the outcome.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.http11 import (HttpParseError, HttpTooLarge, RequestParser,
                           ResponseParser)
+from repro.http11.errors import HttpError
 
 REQUEST = (b"POST /svc HTTP/1.1\r\n"
            b"Host: h\r\n"
@@ -155,3 +158,92 @@ class TestErrors:
         parser.feed(b"NOPE 200 OK\r\n\r\n")
         with pytest.raises(HttpParseError):
             parser.next_response()
+
+
+# ----------------------------------------------------------------------
+# split invariance: any byte split gives the one-shot outcome
+# ----------------------------------------------------------------------
+
+_token = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8)
+_value = st.text("abcxyz0123456789 ;=,/", max_size=12)
+_fields = st.lists(st.tuples(_token, _value), max_size=4)
+
+
+@st.composite
+def _framed(draw, start_line):
+    """One message: ``start_line`` + fields + a Content-Length or a
+    chunked body (chunk extensions and trailers included)."""
+    head = [draw(start_line)] + [f"X-{n}: {v}" for n, v in draw(_fields)]
+    body = draw(st.binary(max_size=40))
+    if draw(st.booleans()):
+        head.append(f"Content-Length: {len(body)}")
+        framed = body
+    else:
+        head.append("Transfer-Encoding: chunked")
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=3)))
+        framed = b""
+        for lo, hi in zip([0] + cuts, cuts + [len(body)]):
+            if hi > lo:
+                ext = b";x=1" if draw(st.booleans()) else b""
+                framed += b"%x%s\r\n%s\r\n" % (hi - lo, ext, body[lo:hi])
+        trailers = "".join(f"T-{n}: {v}\r\n" for n, v in draw(_fields))
+        framed += b"0\r\n" + trailers.encode() + b"\r\n"
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + framed
+
+
+_request = _framed(st.sampled_from(["POST /svc HTTP/1.1", "GET / HTTP/1.0"]))
+_response = _framed(st.sampled_from(["HTTP/1.1 200 OK", "HTTP/1.1 500 Oops"]))
+
+
+@st.composite
+def _stream(draw, message):
+    """Back-to-back pipelined messages, sometimes with one byte corrupted
+    so the error paths are split too."""
+    raw = b"".join(draw(st.lists(message, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+    return raw
+
+
+_limits = st.sampled_from([{}, {"max_header_bytes": 48,
+                                "max_body_bytes": 16}])
+
+
+def _outcome(parser_cls, limits, pieces):
+    """Messages parsed and the error type raised (if any) when ``pieces``
+    are fed one after another."""
+    parser = parser_cls(**limits)
+    messages = []
+    try:
+        for piece in pieces:
+            parser.feed(piece)
+            while True:
+                message = parser.next_message()
+                if message is None:
+                    break
+                fields = dict(vars(message), headers=list(message.headers))
+                messages.append(fields)
+    except HttpError as exc:
+        return messages, type(exc)
+    return messages, parser.mid_message
+
+
+def _check_every_split(parser_cls, limits, raw):
+    whole = _outcome(parser_cls, limits, [raw])
+    for cut in range(1, len(raw)):
+        assert _outcome(parser_cls, limits, [raw[:cut], raw[cut:]]) == whole
+    assert _outcome(parser_cls, limits,
+                    [raw[i:i + 1] for i in range(len(raw))]) == whole
+
+
+class TestSplitInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(_stream(_request), _limits)
+    def test_request_parser(self, raw, limits):
+        _check_every_split(RequestParser, limits, raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_stream(_response), _limits)
+    def test_response_parser(self, raw, limits):
+        _check_every_split(ResponseParser, limits, raw)

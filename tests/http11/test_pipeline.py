@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.http11 import (HttpServer, PipelinedHttpConnection, PipelineError,
+from repro.http11 import (HttpConnection, HttpServer, PipelineError,
                           ReactorHttpServer, Request, Response,
                           ThreadedHttpServer, default_concurrency,
                           CONCURRENCY_ENV)
@@ -127,7 +127,7 @@ class TestServerSidePipelining:
 class TestPipelinedClient:
     def test_depth_one_is_plain_serial(self, mode):
         with HttpServer(echo_handler, concurrency=mode) as server:
-            with PipelinedHttpConnection(server.address, depth=1) as pipe:
+            with HttpConnection(server.address, depth=1) as pipe:
                 for i in range(5):
                     response = pipe.post("/", b"%d" % i, "text/plain")
                     assert response.body == b"echo:%d" % i
@@ -135,7 +135,7 @@ class TestPipelinedClient:
 
     def test_batch_results_in_request_order(self, mode):
         with HttpServer(echo_handler, concurrency=mode) as server:
-            with PipelinedHttpConnection(server.address, depth=8) as pipe:
+            with HttpConnection(server.address, depth=8) as pipe:
                 requests = [Request(method="POST", target="/",
                                     body=b"%03d" % i) for i in range(64)]
                 responses = pipe.request_many(requests)
@@ -144,7 +144,7 @@ class TestPipelinedClient:
 
     def test_connection_persists_across_batches(self, mode):
         with HttpServer(echo_handler, concurrency=mode) as server:
-            with PipelinedHttpConnection(server.address, depth=4) as pipe:
+            with HttpConnection(server.address, depth=4) as pipe:
                 for _ in range(3):
                     pipe.request_many([
                         Request(method="POST", target="/", body=b"x")
@@ -168,7 +168,7 @@ class TestPipelinedClient:
             return Response(body=b"ok")
 
         with HttpServer(handler, concurrency="reactor") as server:
-            with PipelinedHttpConnection(server.address, depth=8) as pipe:
+            with HttpConnection(server.address, depth=8) as pipe:
                 requests = [Request(method="POST", target="/", body=b"x")
                             for _ in range(6)]
                 with pytest.raises(PipelineError) as excinfo:
@@ -179,7 +179,7 @@ class TestPipelinedClient:
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
-            PipelinedHttpConnection(("127.0.0.1", 1), depth=0)
+            HttpConnection(("127.0.0.1", 1), depth=0)
 
 
 class TestHealthOnBothModes:
@@ -187,7 +187,7 @@ class TestHealthOnBothModes:
         import json
 
         with HttpServer(echo_handler, concurrency=mode) as server:
-            with PipelinedHttpConnection(server.address) as pipe:
+            with HttpConnection(server.address) as pipe:
                 payload = json.loads(pipe.get("/healthz").body)
         assert payload["state"] == "ready"
         assert set(payload) >= {"connections_active", "requests_served",

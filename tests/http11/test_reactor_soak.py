@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.http11 import (HttpServer, PipelinedHttpConnection, Request,
+from repro.http11 import (HttpConnection, HttpServer, Request,
                           Response)
 
 pytestmark = pytest.mark.skipif(
@@ -52,7 +52,7 @@ class TestConnectionHold:
                 # ...with no thread growth: the reactor owns them all
                 assert threading.active_count() <= threads_before + 2
                 # the server still answers new work promptly
-                with PipelinedHttpConnection(server.address) as probe:
+                with HttpConnection(server.address) as probe:
                     assert probe.post("/", b"hi", "text/plain").body \
                         == b"echo:hi"
             finally:
@@ -69,7 +69,7 @@ class TestConnectionHold:
 
             def stampede(worker: int) -> None:
                 try:
-                    with PipelinedHttpConnection(server.address,
+                    with HttpConnection(server.address,
                                                  depth=32) as pipe:
                         requests = [Request(method="POST", target="/",
                                             body=b"%d:%d" % (worker, i))

@@ -22,8 +22,8 @@ from repro.apps.airline import AirlineDataset
 from repro.core import (HEADER_CLIENT_ID, HEADER_OPERATION, PBIO_CONTENT_TYPE,
                         SoapBinClient, SoapBinService, canonical_digest)
 from repro.core.quality_handlers import HandlerRegistry
-from repro.http11 import (Headers, HttpConnection, PipelinedHttpConnection,
-                          Request, Response, HttpServer)
+from repro.http11 import (Headers, HttpConnection, Request, Response,
+                          HttpServer)
 from repro.pbio import Format, FormatRegistry, PbioSession
 from repro.serving import FleetServer
 from repro.serving.sandbox import HandlerSandbox
@@ -454,7 +454,7 @@ class TestHttpValidators:
             unconditional = Request(
                 method="POST", target="/", body=steady_blob,
                 headers=_pbio_headers(scenario))
-            pipe = PipelinedHttpConnection(server.address, depth=8)
+            pipe = HttpConnection(server.address, depth=8)
             try:
                 batch = [conditional] * 8
                 responses = pipe.request_many(batch)
